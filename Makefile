@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check race bench bench-sync bench-trace bench-sched chaos chaos-hang chaos-net chaos-disk chaos-load obs-demo psxd-demo
+.PHONY: build test check race flake cross bench bench-sync bench-trace bench-sched chaos chaos-hang chaos-net chaos-disk chaos-load obs-demo psxd-demo
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,22 @@ chaos-load:
 # concurrency-critical packages).
 race:
 	$(GO) test -race ./...
+
+# flake runs each package's test binary in FLAKE_N fresh processes
+# with a shuffled test order and counts failures per package. Flakes
+# that depend on per-process state pass under -count=N in one process,
+# so fresh processes are the point. Narrow it with FLAKE_PKGS.
+FLAKE_N ?= 20
+FLAKE_PKGS ?= ./...
+flake:
+	GO=$(GO) bash scripts/flake.sh $(FLAKE_N) $(FLAKE_PKGS)
+
+# cross builds the non-amd64 paths (the portable callstack capture
+# stands in for the amd64 frame-pointer walk) so they keep compiling;
+# vet's asmdecl check covers the amd64 assembly.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -95,11 +95,6 @@ func main() {
 	fmt.Println("\nper-thread wait IDs from the thread descriptors:")
 	for id := int32(0); id < 4; id++ {
 		ti := rt.Collector().Thread(id)
-		if id == 0 {
-			// Outside regions the master is bound to its serial-mode
-			// descriptor; its wait IDs live on the parallel-mode one.
-			_, ti = rt.MasterDescriptors()
-		}
 		if ti == nil {
 			continue
 		}

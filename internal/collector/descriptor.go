@@ -43,10 +43,10 @@ type ThreadInfo struct {
 	state atomic.Int32
 
 	// Per-thread wait IDs, incremented each time the thread enters the
-	// corresponding wait. Indexed by WaitKind (entry 0, WaitNone, is
-	// unused). Each thread keeps track of its own wait IDs, so the
-	// counters are thread-private and uncontended.
-	waitIDs [numWaitKinds]atomic.Uint64
+	// corresponding wait. Each thread keeps track of its own wait IDs,
+	// so the counters are thread-private and uncontended. Descriptors
+	// of one thread (the master's two) share one set.
+	waitIDs *waitCounters
 
 	// loopID increments each time the thread enters a worksharing
 	// loop (the loop-events extension): a tool can relate a loop to
@@ -71,6 +71,10 @@ type ThreadInfo struct {
 	buffer atomic.Pointer[perf.TraceBuffer]
 }
 
+// waitCounters holds a thread's wait IDs, indexed by WaitKind (entry
+// 0, WaitNone, is unused).
+type waitCounters [numWaitKinds]atomic.Uint64
+
 // SetTraceBuffer pins (or, with nil, unpins) a trace buffer on the
 // descriptor. Called by the attached tool from the collector's bind
 // hook and at detach.
@@ -92,9 +96,19 @@ func (t *ThreadInfo) LoopID() uint64 { return t.loopID.Load() }
 // slave descriptors are created while the slave itself is still being
 // created, and the overhead state reflects that.
 func NewThreadInfo(id int32) *ThreadInfo {
-	t := &ThreadInfo{ID: id}
+	t := &ThreadInfo{ID: id, waitIDs: new(waitCounters)}
 	t.state.Store(int32(StateOverhead))
 	t.stealVictim.Store(-1)
+	return t
+}
+
+// NewTwinThreadInfo returns a second descriptor for twin's thread: the
+// same ID and the same wait-ID counters, so the thread's wait IDs
+// advance monotonically whichever of its descriptors is bound. The
+// master's serial- and parallel-mode descriptors are such a pair.
+func NewTwinThreadInfo(twin *ThreadInfo) *ThreadInfo {
+	t := NewThreadInfo(twin.ID)
+	t.waitIDs = twin.waitIDs
 	return t
 }
 

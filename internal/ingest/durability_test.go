@@ -623,6 +623,17 @@ func TestRetentionGCOldestFirst(t *testing.T) {
 	tcOpen, _ := dialClient(t, srv.Addr(), "run-open")
 	defer tcOpen.close()
 	tcOpen.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block}))
+	// Measure only once the open run's chunk is on disk: the registry
+	// counts a chunk after its block and journal entry are written.
+	// Otherwise the directory grows after the budget below is set.
+	waitFor(t, "run-open chunk stored", func() bool {
+		for _, ri := range srv.Runs() {
+			if ri.ID == "run-open" && ri.Chunks == 1 {
+				return true
+			}
+		}
+		return false
+	})
 
 	size := func(run string) int64 { return dirBytes(filepath.Join(dir, run)) }
 	total := dirBytes(dir)

@@ -198,7 +198,7 @@ func New(cfg Config) *RT {
 	// runtime itself has created any threads.
 	r.masterSerial = collector.NewThreadInfo(0)
 	r.masterSerial.SetState(collector.StateSerial)
-	r.masterParallel = collector.NewThreadInfo(0)
+	r.masterParallel = collector.NewTwinThreadInfo(r.masterSerial)
 	r.col.BindThread(r.masterSerial)
 	return r
 }
@@ -209,8 +209,8 @@ func (r *RT) Collector() *collector.Collector { return r.col }
 
 // MasterDescriptors returns the master thread's two thread
 // descriptors: the serial-mode one (bound outside parallel regions)
-// and the parallel-mode one (bound while the master executes a region,
-// and the holder of the master's wait IDs).
+// and the parallel-mode one (bound while the master executes a
+// region). They share the master's wait IDs.
 func (r *RT) MasterDescriptors() (serial, parallel *collector.ThreadInfo) {
 	return r.masterSerial, r.masterParallel
 }

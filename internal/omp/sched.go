@@ -271,7 +271,7 @@ func (tc *ThreadCtx) ForSchedNoWait(n int, sched Schedule, chunk int, body func(
 	}
 	// Loops too large for the packed deque word degrade to dynamic:
 	// same boundaries, shared-counter claiming.
-	if sched == ScheduleSteal && (n+chunk-1)/chunk >= maxStealChunks {
+	if sched == ScheduleSteal && int64((n+chunk-1)/chunk) >= maxStealChunks {
 		sched = ScheduleDynamic
 	}
 	switch sched {

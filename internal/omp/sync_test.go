@@ -382,6 +382,45 @@ func TestBarrierWaitIDsAdvance(t *testing.T) {
 	}
 }
 
+// TestMasterWaitIDsMonotonicAcrossRegions pins that the master's wait
+// IDs are per thread, not per descriptor: read through the collector's
+// thread-0 slot, they never move backwards when the master rebinds
+// from its parallel-mode descriptor to its serial-mode one at join,
+// and waits entered in serial mode continue the same sequence.
+func TestMasterWaitIDsMonotonicAcrossRegions(t *testing.T) {
+	r := newRT(t, Config{NumThreads: 2})
+	serial, _ := r.MasterDescriptors()
+	var last [2]uint64 // barrier, lock
+	check := func(where string) {
+		t.Helper()
+		ti := r.Collector().Thread(0)
+		now := [2]uint64{ti.WaitID(collector.WaitBarrier), ti.WaitID(collector.WaitLock)}
+		if now[0] < last[0] || now[1] < last[1] {
+			t.Fatalf("%s: master wait IDs (barrier, lock) went from %v to %v", where, last, now)
+		}
+		last = now
+	}
+	for i := 0; i < 4; i++ {
+		r.Parallel(func(tc *ThreadCtx) {
+			tc.Barrier()
+			if tc.ThreadNum() == 0 {
+				tc.Info().EnterWait(collector.StateLockWait)
+				tc.Info().SetState(collector.StateWorking)
+				check("in region")
+			}
+		})
+		check("after join")
+		serial.EnterWait(collector.StateLockWait)
+		serial.SetState(collector.StateSerial)
+		check("serial-mode wait")
+	}
+	// Per region: one explicit and one implicit barrier, one lock wait
+	// inside and one outside.
+	if last != [2]uint64{8, 8} {
+		t.Errorf("master wait IDs (barrier, lock) = %v, want [8 8]", last)
+	}
+}
+
 func TestExplicitVsImplicitBarrierEvents(t *testing.T) {
 	r := newRT(t, Config{NumThreads: 2})
 	q := r.Collector().NewQueue()

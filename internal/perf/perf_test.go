@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -399,6 +400,65 @@ func TestSiteProfiles(t *testing.T) {
 		t.Errorf("top site leaf = %q", sites[0].Leaf.Func)
 	}
 	_ = s
+}
+
+// siteLeaf captures a stack whose user-model leaf is this function, so
+// callers on different paths yield distinct stacks with one leaf.
+//
+//go:noinline
+func siteLeaf() []uintptr { return Callstack(0, 32) }
+
+//go:noinline
+func sitePathA() []uintptr { return siteLeaf() }
+
+//go:noinline
+func sitePathB() []uintptr { return siteLeaf() }
+
+// TestSiteProfilesCountsRepeats pins the counts when stacks repeat:
+// every occurrence counts, distinct stacks with one leaf merge, and a
+// stack with no user frame counts nowhere.
+func TestSiteProfilesCountsRepeats(t *testing.T) {
+	a, b2 := sitePathA(), sitePathB()
+	if slices.Equal(a, b2) {
+		t.Fatal("two call paths gave one stack")
+	}
+	b := NewTraceBuffer(0, 0)
+	for i := 0; i < 5; i++ {
+		b.InternStack(a)
+	}
+	for i := 0; i < 3; i++ {
+		b.InternStack(b2)
+		b.InternStack(nil)
+	}
+	s := &Stripper{Prefixes: []string{"runtime.", "goomp/internal/perf.Callstack"}}
+	sites := SiteProfiles(b, s)
+	if len(sites) == 0 || !strings.HasSuffix(sites[0].Leaf.Func, ".siteLeaf") || sites[0].Count != 8 {
+		t.Fatalf("sites = %+v, want siteLeaf first with count 8", sites)
+	}
+	total := 0
+	for _, sp := range sites {
+		total += sp.Count
+	}
+	if total != 8 {
+		t.Errorf("counts sum to %d, want 8", total)
+	}
+}
+
+var sitesSink []SiteProfile
+
+// BenchmarkSiteProfiles profiles a join-heavy buffer: many stored
+// stacks drawn from a few call paths, as an LU-HP trace holds.
+func BenchmarkSiteProfiles(b *testing.B) {
+	paths := [][]uintptr{sitePathA(), sitePathB(), siteLeaf()}
+	buf := NewTraceBuffer(0, 0)
+	for i := 0; i < 10000; i++ {
+		buf.InternStack(paths[i%len(paths)])
+	}
+	s := NewStripper()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sitesSink = SiteProfiles(buf, s)
+	}
 }
 
 func TestWriteRegionTable(t *testing.T) {

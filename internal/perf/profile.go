@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -196,7 +197,9 @@ type SiteProfile struct {
 }
 
 // SiteProfiles resolves every stack in the buffer, strips it to the
-// user model with s, and tallies leaf frames.
+// user model with s, and tallies leaf frames. Join-heavy buffers hold
+// the same few stacks many times over, so each distinct PC sequence is
+// resolved once and its later occurrences reuse the result.
 func SiteProfiles(b *TraceBuffer, s *Stripper) []SiteProfile {
 	type key struct {
 		fn   string
@@ -204,20 +207,31 @@ func SiteProfiles(b *TraceBuffer, s *Stripper) []SiteProfile {
 		line int
 	}
 	tally := make(map[key]*SiteProfile)
-	for id := int32(0); int(id) < b.NumStacks(); id++ {
-		frames := Resolve(b.Stack(id))
-		leaf, ok := s.Leaf(frames)
-		if !ok {
-			continue
+	// byStack maps a PC sequence to its tally entry, nil when no user
+	// frame survives stripping.
+	byStack := make(map[string]*SiteProfile)
+	var kb []byte
+	b.ForEachStack(func(_ int32, pcs []uintptr) {
+		kb = kb[:0]
+		for _, pc := range pcs {
+			kb = binary.LittleEndian.AppendUint64(kb, uint64(pc))
 		}
-		k := key{leaf.Func, leaf.File, leaf.Line}
-		sp := tally[k]
-		if sp == nil {
-			sp = &SiteProfile{Leaf: leaf}
-			tally[k] = sp
+		sp, seen := byStack[string(kb)]
+		if !seen {
+			if leaf, ok := s.Leaf(Resolve(pcs)); ok {
+				k := key{leaf.Func, leaf.File, leaf.Line}
+				sp = tally[k]
+				if sp == nil {
+					sp = &SiteProfile{Leaf: leaf}
+					tally[k] = sp
+				}
+			}
+			byStack[string(kb)] = sp
 		}
-		sp.Count++
-	}
+		if sp != nil {
+			sp.Count++
+		}
+	})
 	out := make([]SiteProfile, 0, len(tally))
 	for _, sp := range tally {
 		out = append(out, *sp)

@@ -125,8 +125,9 @@ type TraceBuffer struct {
 	// thread tags them for the consumer. The push never blocks: if the
 	// consumer falls behind the chunk is discarded and accounted.
 	relay  chan<- *SealedChunk
+	stacks *StackCache // the writer's callstack cache, made on first use
 	thread int32
-	_      [cacheLinePad - 44 - 4]byte // Report polls the drop counters below
+	_      [cacheLinePad - 52 - 4]byte // Report polls the drop counters below
 
 	dropped    atomic.Uint64 // samples lost to the limit or a full relay
 	relayDrops atomic.Uint64 // sealed chunks discarded on a full relay
@@ -175,11 +176,22 @@ func (b *TraceBuffer) Append(s Sample) {
 	b.retained++
 }
 
+// StackCache returns the buffer's callstack cache, creating it on first
+// use. It shares the buffer's single-writer rule: owning thread only.
+func (b *TraceBuffer) StackCache() *StackCache {
+	if b.stacks == nil {
+		b.stacks = &StackCache{}
+	}
+	return b.stacks
+}
+
 // AppendStacked records a sample together with its callstack, interning
 // the stack only if the sample is actually recorded — a sample dropped
 // at the limit must not leak a retained stack. The stack and the sample
-// land in the same chunk so a streamed chunk is self-contained. Owning
-// thread only.
+// land in the same chunk so a streamed chunk is self-contained. The
+// buffer keeps pcs itself (every reader copies out), so the caller must
+// not modify it afterwards; StackCache results qualify as they are.
+// Owning thread only.
 func (b *TraceBuffer) AppendStacked(s Sample, pcs []uintptr) {
 	if b.limit > 0 && b.retained >= b.limit {
 		b.dropped.Add(1)
@@ -192,9 +204,7 @@ func (b *TraceBuffer) AppendStacked(s Sample, pcs []uintptr) {
 	if c.stacks == nil {
 		c.stacks = make([][]uintptr, ChunkSamples)
 	}
-	cp := make([]uintptr, len(pcs))
-	copy(cp, pcs)
-	c.stacks[c.wns] = cp
+	c.stacks[c.wns] = pcs
 	s.StackID = c.stackBase + c.wns
 	c.wns++
 	c.nStacks.Store(c.wns) // release: publish the stack first
