@@ -186,6 +186,7 @@ func TestManifestRoundTrip(t *testing.T) {
 // to the fsync policy under test.
 type hookFS struct {
 	syncs   atomic.Int64
+	openErr func(path string) error // non-nil return fails the OpenAppend
 	syncErr func(path string) error // non-nil return fails the sync
 	block   chan struct{}           // non-nil: Sync waits here first
 	entered chan string             // non-nil: receives the path entering Sync
@@ -206,6 +207,11 @@ func (h *hookFS) Create(p string) (File, error) {
 }
 
 func (h *hookFS) OpenAppend(p string) (File, error) {
+	if h.openErr != nil {
+		if err := h.openErr(p); err != nil {
+			return nil, err
+		}
+	}
 	f, err := osFS{}.OpenAppend(p)
 	if err != nil {
 		return nil, err
@@ -536,56 +542,75 @@ func TestRecoverCompleteManifestTrusted(t *testing.T) {
 	}
 }
 
-// TestRecoverLegacyDir: a pre-durability run directory (trace files,
-// no journal, no manifest) is salvaged by stream-parsing: the valid
-// prefix survives, the torn tail is truncated, and a journal plus
-// manifest are synthesized so the next recovery is exact.
-func TestRecoverLegacyDir(t *testing.T) {
+// TestRecoverCrashBeforeFirstJournalEntry: the daemon dies after a
+// run's first block reached its trace file but before the lazily
+// opened journal recorded it. A run directory without a journal
+// replays as an empty journal, so the block is an unacked tail:
+// recovery truncates it, the durable client resends from sequence 1,
+// and the finished run holds the block exactly once.
+func TestRecoverCrashBeforeFirstJournalEntry(t *testing.T) {
+	var opened atomic.Bool
+	fs := &hookFS{openErr: func(path string) error {
+		if filepath.Base(path) == journalName && !opened.Swap(true) {
+			return fmt.Errorf("injected crash before opening %s", journalName)
+		}
+		return nil
+	}}
 	dir := t.TempDir()
-	runDir := filepath.Join(dir, "legacy-run")
-	if err := os.MkdirAll(runDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	block := traceBlock(t, 0, 5)
-	good := append(append([]byte(nil), block...), block...)
-	torn := append(append([]byte(nil), good...), block[:len(block)/2]...)
-	if err := os.WriteFile(filepath.Join(runDir, "trace.0.psxt"), torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	srv, err := Serve("127.0.0.1:0", Options{Dir: dir})
+	srv, err := Serve("127.0.0.1:0", Options{Dir: dir, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := srv.Recovered(); rec.Salvaged != 1 {
-		t.Fatalf("recovery summary = %+v, want 1 salvaged", rec)
+	defer srv.Close()
+	tc, _ := dialFlags(t, srv.Addr(), "early-run", FlagDurable)
+	block := traceBlock(t, 0, 5)
+	// The typed storage ack means the writer is done with the disk: the
+	// block is in the trace file and no journal exists.
+	if ack := tc.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block})); ack.Code != CodeStorage {
+		t.Fatalf("chunk ack with the journal open refused = %+v, want INGEST_STORAGE", ack)
 	}
-	if st, err := os.Stat(filepath.Join(runDir, "trace.0.psxt")); err != nil || st.Size() != int64(len(good)) {
-		t.Fatalf("legacy trace is %d bytes after salvage, want %d", st.Size(), len(good))
+	tc.close()
+	srv.Kill()
+	runDir := filepath.Join(dir, "early-run")
+	if _, err := os.Stat(filepath.Join(runDir, journalName)); !os.IsNotExist(err) {
+		t.Fatalf("journal exists before recovery (%v): the crash point was not reproduced", err)
 	}
-	if _, err := os.Stat(filepath.Join(runDir, journalName)); err != nil {
-		t.Fatalf("no synthesized journal after legacy salvage: %v", err)
-	}
-	var ri RunInfo
-	for _, r := range srv.Runs() {
-		if r.ID == "legacy-run" {
-			ri = r
-		}
-	}
-	if !ri.Salvaged || ri.Samples != 10 {
-		t.Fatalf("legacy run = %+v, want salvaged with 10 samples", ri)
-	}
-	srv.Close()
 
-	// A second recovery over the synthesized journal must change
-	// nothing: the covered prefix is already exact.
 	srv2, err := Serve("127.0.0.1:0", Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if st, _ := os.Stat(filepath.Join(runDir, "trace.0.psxt")); st.Size() != int64(len(good)) {
-		t.Fatalf("second recovery moved the trace to %d bytes, want %d", st.Size(), len(good))
+	tc2, ha := dialFlags(t, srv2.Addr(), "early-run", FlagDurable)
+	defer tc2.close()
+	if ha.Code != CodeOK || ha.LastSeq != 0 {
+		t.Fatalf("reconnect HELLO-ACK = %+v, want OK with lastSeq 0", ha)
+	}
+	if ack := tc2.send(MsgChunk, EncodeChunk(Chunk{Seq: 1, Thread: 0, Samples: 5, Block: block})); ack.Code != CodeOK {
+		t.Fatalf("resent chunk ack = %+v", ack)
+	}
+	if ack := tc2.send(MsgBye, EncodeBye(Bye{Seq: 2})); ack.Code != CodeOK {
+		t.Fatalf("bye ack = %+v", ack)
+	}
+	var ri RunInfo
+	waitFor(t, "resent run complete", func() bool {
+		for _, r := range srv2.Runs() {
+			if r.ID == "early-run" && r.Complete {
+				ri = r
+				return true
+			}
+		}
+		return false
+	})
+	got, err := os.ReadFile(filepath.Join(runDir, "trace.0.psxt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, block) {
+		t.Fatalf("trace file is %d bytes, want the %d-byte block exactly once", len(got), len(block))
+	}
+	if ri.Samples != 5 {
+		t.Fatalf("run reports %d samples, want 5", ri.Samples)
 	}
 }
 
@@ -711,39 +736,6 @@ func TestRetentionGCByAge(t *testing.T) {
 	}
 }
 
-// TestHelloFlagsTrailerCompat: the flags word rides an optional
-// trailer, so flagless payloads stay byte-identical to the original
-// protocol and both generations decode each other.
-func TestHelloFlagsTrailerCompat(t *testing.T) {
-	flagless := EncodeHello(Hello{Version: 1, Run: "r", Host: "h", PID: 2})
-	withFlags := EncodeHello(Hello{Version: 1, Run: "r", Host: "h", PID: 2, Flags: FlagDurable})
-	if len(withFlags) != len(flagless)+4 {
-		t.Fatalf("flags trailer adds %d bytes, want 4", len(withFlags)-len(flagless))
-	}
-	h, err := DecodeHello(flagless)
-	if err != nil || h.Flags != 0 {
-		t.Fatalf("legacy hello: (%+v, %v)", h, err)
-	}
-	h, err = DecodeHello(withFlags)
-	if err != nil || h.Flags != FlagDurable || h.PID != 2 {
-		t.Fatalf("flagged hello: (%+v, %v)", h, err)
-	}
-
-	ackless := EncodeHelloAck(HelloAck{Code: CodeOK, LastSeq: 9})
-	ackFlags := EncodeHelloAck(HelloAck{Code: CodeOK, LastSeq: 9, Flags: FlagDurable})
-	if len(ackFlags) != len(ackless)+4 {
-		t.Fatalf("hello-ack flags trailer adds %d bytes, want 4", len(ackFlags)-len(ackless))
-	}
-	a, err := DecodeHelloAck(ackless)
-	if err != nil || a.Flags != 0 || a.LastSeq != 9 {
-		t.Fatalf("legacy hello-ack: (%+v, %v)", a, err)
-	}
-	a, err = DecodeHelloAck(ackFlags)
-	if err != nil || a.Flags != FlagDurable || a.LastSeq != 9 {
-		t.Fatalf("flagged hello-ack: (%+v, %v)", a, err)
-	}
-}
-
 // pipeAcks wires a connSender to an in-memory pipe and collects every
 // ack it releases, so commitBatch can be driven directly with a
 // deterministic batch layout.
@@ -856,33 +848,6 @@ func TestBatchDowngradeWhenSealSyncFails(t *testing.T) {
 	}
 	if !r.quarantined.Load() {
 		t.Error("run not quarantined after the seal sync failure")
-	}
-}
-
-// TestLegacyHelloOnDurableRunGetsLegacyAck: a pre-flags client joining
-// a run another (newer) client already created durable must receive
-// the legacy 12-byte HELLO-ACK — a flags trailer would fail its
-// decoder and lock mixed-version clients out of a shared run.
-func TestLegacyHelloOnDurableRunGetsLegacyAck(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	tcNew, ha := dialFlags(t, srv.Addr(), "mixed-run", FlagDurable)
-	defer tcNew.close()
-	if ha.Flags&FlagDurable == 0 {
-		t.Fatal("durable client not granted FlagDurable")
-	}
-	// Flags == 0 encodes with no trailer: true legacy HELLO bytes.
-	tcOld, haOld := dialFlags(t, srv.Addr(), "mixed-run", 0)
-	defer tcOld.close()
-	if haOld.Code != CodeOK {
-		t.Fatalf("legacy HELLO refused: %+v", haOld)
-	}
-	if haOld.Flags != 0 {
-		t.Fatalf("legacy HELLO answered with flags %#x: the ack grew a trailer a pre-flags decoder refuses", haOld.Flags)
 	}
 }
 

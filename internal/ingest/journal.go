@@ -171,7 +171,7 @@ type Manifest struct {
 	SealedThreads int64     `json:"sealed_threads"`
 
 	// Client-reported loss accounting from the BYE frame that sealed
-	// the run (zero for legacy clients and interrupted seals). Offline
+	// the run (zero for interrupted seals). Offline
 	// readers surface these so a run that degraded, dropped or spilled
 	// at the producing end says so in the report.
 	ClientProduced       uint64 `json:"client_produced_chunks,omitempty"`

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -110,13 +111,6 @@ type Options struct {
 	// FS, when non-nil, interposes on every persisted byte (fault
 	// injection). Nil means the real filesystem.
 	FS FS
-
-	// RefuseV2 refuses chunks carrying compact v2 ("PSX2") trace
-	// blocks with CodeUnsupported — for a daemon fronting readers that
-	// predate the v2 format (psxd -trace-v2=false). The default
-	// accepts both formats; storage and recovery are format-agnostic
-	// (the journal checksums the encoded bytes as shipped).
-	RefuseV2 bool
 }
 
 // item is one unit of ingest work handed to a run's writer goroutine.
@@ -211,8 +205,8 @@ type run struct {
 
 	// Client-reported loss accounting from the BYE frame: what the
 	// producing process dropped, spilled to its store-and-forward log,
-	// and replayed before sealing the run. Zero for legacy clients and
-	// for runs whose BYE never arrived.
+	// and replayed before sealing the run. Zero for runs whose BYE
+	// never arrived.
 	clientProduced       atomic.Uint64
 	clientDropped        atomic.Uint64
 	clientDroppedSamples atomic.Uint64
@@ -548,14 +542,17 @@ func (s *Server) handleConn(c net.Conn) {
 		cs.send(MsgHelloAck, EncodeHelloAck(HelloAck{Code: CodeSequence}))
 		return
 	}
+	// The version word leads the HELLO of every protocol version, so a
+	// peer of another version gets the typed refusal even though the
+	// rest of its HELLO need not parse as this version's layout.
+	if len(payload) >= 4 && binary.LittleEndian.Uint32(payload) != ProtoVersion {
+		cs.send(MsgHelloAck, EncodeHelloAck(HelloAck{Code: CodeUnsupported}))
+		return
+	}
 	h, err := DecodeHello(payload)
 	if err != nil {
 		s.badFrames.Add(1)
 		cs.send(MsgHelloAck, EncodeHelloAck(HelloAck{Code: CodeBadFrame}))
-		return
-	}
-	if h.Version != ProtoVersion {
-		cs.send(MsgHelloAck, EncodeHelloAck(HelloAck{Code: CodeUnsupported}))
 		return
 	}
 	r, err := s.findOrCreateRun(h)
@@ -569,14 +566,7 @@ func (s *Server) handleConn(c net.Conn) {
 		// restarted daemon hands back the journal-recovered sequence and
 		// the client resends the lost tail.
 		ack.LastSeq = r.durableSeq.Load()
-		if h.Flags != 0 {
-			// Echo the grant only to a client that negotiated flags
-			// itself: a legacy (pre-flags) HELLO must get the legacy
-			// 12-byte HELLO-ACK back, or its decoder refuses the
-			// handshake — even when the run was created durable by a
-			// newer client sharing the run ID.
-			ack.Flags = FlagDurable
-		}
+		ack.Flags = FlagDurable
 	} else {
 		ack.LastSeq = r.lastSeq.Load()
 	}
@@ -597,11 +587,6 @@ func (s *Server) handleConn(c net.Conn) {
 			if err != nil {
 				s.badFrames.Add(1)
 				ack = Ack{Code: CodeBadFrame}
-				break
-			}
-			if s.opts.RefuseV2 && perf.IsV2Block(ck.Block) {
-				s.badFrames.Add(1)
-				ack = Ack{Seq: ck.Seq, Code: CodeUnsupported}
 				break
 			}
 			// The frame's declared sample count feeds the journal and the
@@ -1300,7 +1285,7 @@ type RunInfo struct {
 	Fsyncs         uint64    `json:"fsyncs,omitempty"`
 
 	// Client-reported loss accounting from the run's BYE (zero until
-	// the run completes, and for legacy clients).
+	// the run completes).
 	ClientProduced       uint64 `json:"client_produced_chunks,omitempty"`
 	ClientDropped        uint64 `json:"client_dropped_chunks,omitempty"`
 	ClientDroppedSamples uint64 `json:"client_dropped_samples,omitempty"`

@@ -226,6 +226,23 @@ func TestServerRefusesOutOfProtocolClients(t *testing.T) {
 		t.Fatalf("bad version code = %v, want INGEST_UNSUPPORTED", ha.Code)
 	}
 	c2.Close()
+
+	// A protocol-1 client's HELLO has no flags word; it still gets the
+	// typed refusal, not a bad-frame answer.
+	c3, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := EncodeHello(Hello{Version: 1, Run: "x", Host: "h", PID: 1})
+	WriteFrame(c3, MsgHello, v1[:len(v1)-4])
+	kind, payload, err = ReadFrame(bufio.NewReader(c3))
+	if err != nil || kind != MsgHelloAck {
+		t.Fatalf("kind=%d err=%v", kind, err)
+	}
+	if ha, _ := DecodeHelloAck(payload); ha.Code != CodeUnsupported {
+		t.Fatalf("version-1 HELLO code = %v, want INGEST_UNSUPPORTED", ha.Code)
+	}
+	c3.Close()
 }
 
 func TestServerRefusesDataAfterBye(t *testing.T) {

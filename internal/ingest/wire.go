@@ -35,8 +35,10 @@ import (
 
 // ProtoVersion is the wire protocol version a HELLO declares. A server
 // refuses versions it does not speak with CodeUnsupported rather than
-// guessing at frame layouts.
-const ProtoVersion = 1
+// guessing at frame layouts. Every fixed payload of this version has
+// one length: HELLO ends in its flags word, HELLO-ACK is 16 bytes and
+// BYE 48.
+const ProtoVersion = 2
 
 // Message kinds. The kind byte follows the length prefix.
 const (
@@ -107,10 +109,8 @@ const maxFrameLen = 1 << 22
 // maxStringLen bounds the run/host strings in a HELLO.
 const maxStringLen = 256
 
-// Hello/HelloAck capability flags. The flags word is an optional
-// trailer on both payloads (absent = 0), so a client and server from
-// either side of the durability change interoperate: an old peer
-// simply never negotiates a capability.
+// Hello/HelloAck capability flags, carried in a flags word that ends
+// both payloads.
 const (
 	// FlagDurable asks for (HELLO) or grants (HELLO-ACK) durable acks:
 	// a data frame is acknowledged only after the server has applied
@@ -167,8 +167,7 @@ type Seal struct {
 // acknowledged, so the counters are exact, not a snapshot of work in
 // flight. The server records them in the run registry and manifest so
 // offline readers (ompreport) can report what the client degraded or
-// spilled without access to the client process. A legacy 8-byte BYE
-// decodes with zero counters.
+// spilled without access to the client process.
 type Bye struct {
 	Seq            uint64
 	Produced       uint64 // chunks the client handed to its sink
@@ -243,18 +242,13 @@ func takeU16String(b []byte) (string, []byte, bool) {
 	return string(b[:n]), b[n:], true
 }
 
-// EncodeHello renders h's payload. The flags word is appended only
-// when nonzero so a flagless HELLO stays byte-identical to the
-// original protocol.
+// EncodeHello renders h's payload.
 func EncodeHello(h Hello) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, h.Version)
 	b = appendU16String(b, h.Run)
 	b = appendU16String(b, h.Host)
 	b = binary.LittleEndian.AppendUint64(b, h.PID)
-	if h.Flags != 0 {
-		b = binary.LittleEndian.AppendUint32(b, h.Flags)
-	}
-	return b
+	return binary.LittleEndian.AppendUint32(b, h.Flags)
 }
 
 // DecodeHello parses a HELLO payload.
@@ -272,41 +266,31 @@ func DecodeHello(b []byte) (Hello, error) {
 	if h.Host, b, ok = takeU16String(b); !ok {
 		return h, ErrBadFrame
 	}
-	switch len(b) {
-	case 8: // legacy: no flags trailer
-	case 12:
-		h.Flags = binary.LittleEndian.Uint32(b[8:])
-	default:
+	if len(b) != 12 {
 		return h, ErrBadFrame
 	}
 	h.PID = binary.LittleEndian.Uint64(b)
+	h.Flags = binary.LittleEndian.Uint32(b[8:])
 	return h, nil
 }
 
-// EncodeHelloAck renders a's payload. Like EncodeHello, the flags
-// word appears only when nonzero.
+// EncodeHelloAck renders a's payload.
 func EncodeHelloAck(a HelloAck) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(a.Code))
 	b = binary.LittleEndian.AppendUint64(b, a.LastSeq)
-	if a.Flags != 0 {
-		b = binary.LittleEndian.AppendUint32(b, a.Flags)
-	}
-	return b
+	return binary.LittleEndian.AppendUint32(b, a.Flags)
 }
 
 // DecodeHelloAck parses a HELLO-ACK payload.
 func DecodeHelloAck(b []byte) (HelloAck, error) {
-	a := HelloAck{}
-	switch len(b) {
-	case 12: // legacy: no flags trailer
-	case 16:
-		a.Flags = binary.LittleEndian.Uint32(b[12:])
-	default:
+	if len(b) != 16 {
 		return HelloAck{}, ErrBadFrame
 	}
-	a.Code = Code(binary.LittleEndian.Uint32(b))
-	a.LastSeq = binary.LittleEndian.Uint64(b[4:])
-	return a, nil
+	return HelloAck{
+		Code:    Code(binary.LittleEndian.Uint32(b)),
+		LastSeq: binary.LittleEndian.Uint64(b[4:]),
+		Flags:   binary.LittleEndian.Uint32(b[12:]),
+	}, nil
 }
 
 // EncodeChunk renders c's payload.
@@ -359,21 +343,19 @@ func EncodeBye(y Bye) []byte {
 	return b
 }
 
-// DecodeBye parses a BYE payload; the legacy 8-byte form (sequence
-// only) is still accepted and yields zero loss counters.
+// DecodeBye parses a BYE payload.
 func DecodeBye(b []byte) (Bye, error) {
-	if len(b) != 8 && len(b) != 48 {
+	if len(b) != 48 {
 		return Bye{}, ErrBadFrame
 	}
-	y := Bye{Seq: binary.LittleEndian.Uint64(b)}
-	if len(b) == 48 {
-		y.Produced = binary.LittleEndian.Uint64(b[8:])
-		y.Dropped = binary.LittleEndian.Uint64(b[16:])
-		y.DroppedSamples = binary.LittleEndian.Uint64(b[24:])
-		y.Spilled = binary.LittleEndian.Uint64(b[32:])
-		y.Replayed = binary.LittleEndian.Uint64(b[40:])
-	}
-	return y, nil
+	return Bye{
+		Seq:            binary.LittleEndian.Uint64(b),
+		Produced:       binary.LittleEndian.Uint64(b[8:]),
+		Dropped:        binary.LittleEndian.Uint64(b[16:]),
+		DroppedSamples: binary.LittleEndian.Uint64(b[24:]),
+		Spilled:        binary.LittleEndian.Uint64(b[32:]),
+		Replayed:       binary.LittleEndian.Uint64(b[40:]),
+	}, nil
 }
 
 // EncodeAck renders a's payload.

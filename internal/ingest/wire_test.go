@@ -93,8 +93,21 @@ func TestDecodeRejectsShortPayloads(t *testing.T) {
 	if _, err := DecodeHello([]byte{1, 2}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("short hello = %v", err)
 	}
+	// Each payload has exactly one length: the protocol-1 forms (a
+	// HELLO without its flags word, a 12-byte HELLO-ACK, an 8-byte BYE)
+	// are malformed.
+	hello := EncodeHello(Hello{Version: ProtoVersion, Run: "r", Host: "h", PID: 2})
+	if _, err := DecodeHello(hello[:len(hello)-4]); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("hello without flags = %v", err)
+	}
 	if _, err := DecodeHelloAck([]byte{1}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("short hello-ack = %v", err)
+	}
+	if _, err := DecodeHelloAck(EncodeHelloAck(HelloAck{LastSeq: 9})[:12]); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("12-byte hello-ack = %v", err)
+	}
+	if _, err := DecodeBye(EncodeBye(Bye{Seq: 9})[:8]); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("8-byte bye = %v", err)
 	}
 	if _, err := DecodeChunk([]byte{1, 2, 3}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("short chunk = %v", err)

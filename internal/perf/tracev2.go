@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"strings"
 )
 
 // Trace format v2: the compact block encoding that keeps always-on
@@ -81,28 +80,6 @@ type Encoding struct {
 	Flate bool
 }
 
-// EncodingFromEnv builds an Encoding from the GOMP_TRACE_V2 and
-// GOMP_TRACE_COMPRESS environment knobs (1/true/yes/on enable;
-// compression implies v2).
-func EncodingFromEnv() Encoding {
-	enc := Encoding{
-		V2:    envTrue(os.Getenv("GOMP_TRACE_V2")),
-		Flate: envTrue(os.Getenv("GOMP_TRACE_COMPRESS")),
-	}
-	if enc.Flate {
-		enc.V2 = true
-	}
-	return enc
-}
-
-func envTrue(v string) bool {
-	switch strings.ToLower(v) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
-}
-
 // ErrCountMismatch reports a trace block whose header-declared sample
 // count disagrees with the payload bytes actually present — a torn
 // tail. It wraps ErrBadTrace, so the salvage contract (gap-free prefix
@@ -130,11 +107,6 @@ func WriteTraceEnc(w io.Writer, b *TraceBuffer, enc Encoding) error {
 	}
 	views, base0 := b.snapshot()
 	return writeBlockV2(w, views, base0, b.dropped.Load(), enc.Flate)
-}
-
-// IsV2Block reports whether b begins with a v2 trace block header.
-func IsV2Block(b []byte) bool {
-	return len(b) >= 4 && bytes.Equal(b[:4], traceV2Magic[:])
 }
 
 // zigzag maps signed values to unsigned ones with small absolute
@@ -621,7 +593,7 @@ func discard(br *bufio.Reader, n int64) error {
 }
 
 // asBufReader returns r itself when it already is a *bufio.Reader (so
-// byte accounting like ValidStreamPrefixLen's keeps working across
+// byte accounting like ReadTraceStreamReports' keeps working across
 // nested readers) and wraps it otherwise.
 func asBufReader(r io.Reader) *bufio.Reader {
 	if br, ok := r.(*bufio.Reader); ok {

@@ -165,11 +165,6 @@ type Options struct {
 	// it to saturate the queue cheaply). Zero means the default 256.
 	IngestPendingDepth int
 
-	// FlushInterval is retained for compatibility but no longer used:
-	// streaming is chunk-driven (each filled chunk is handed to the
-	// writer immediately), not timer-driven.
-	FlushInterval time.Duration
-
 	// MaxSamplesPerSite enables selective collection (§VI): after this
 	// many stored samples for one static parallel region (identified
 	// by the site PC in the team descriptor), further events from that
